@@ -27,8 +27,7 @@
 //! original full-re-simulation implementations are retained as
 //! [`omission_reference`] / [`restoration_reference`]: bit-exact oracles
 //! whose kept-vector sets the incremental engines must reproduce (see
-//! `tests/compaction_differential.rs`), selectable at the flow level via
-//! [`CompactionEngine`].
+//! `tests/compaction_differential.rs`).
 //!
 //! # Example
 //!
@@ -63,22 +62,7 @@ pub use segments::segment_prune;
 
 use limscan_fault::FaultList;
 use limscan_netlist::Circuit;
-use limscan_obs::{ObsHandle, SpanKind};
 use limscan_sim::TestSequence;
-
-/// Selects the trial engine behind [`restore_then_omit_with`].
-///
-/// Both engines produce identical kept-vector sets; `Reference` exists for
-/// differential testing and for benchmarking the incremental engine's
-/// speedup (`compact_bench`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CompactionEngine {
-    /// Checkpointed suffix re-simulation with early exits (the default).
-    #[default]
-    Incremental,
-    /// Full re-simulation per trial — the bit-exact oracle.
-    Reference,
-}
 
 /// A compacted sequence plus bookkeeping about the compaction run.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -115,72 +99,8 @@ pub fn restore_then_omit(
     sequence: &TestSequence,
     omission_passes: usize,
 ) -> Compacted {
-    restore_then_omit_with(
-        circuit,
-        faults,
-        sequence,
-        omission_passes,
-        CompactionEngine::Incremental,
-    )
-}
-
-/// [`restore_then_omit`] with an explicit [`CompactionEngine`] choice.
-pub fn restore_then_omit_with(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-    engine: CompactionEngine,
-) -> Compacted {
-    restore_then_omit_observed(
-        circuit,
-        faults,
-        sequence,
-        omission_passes,
-        engine,
-        &ObsHandle::noop(),
-    )
-}
-
-/// [`restore_then_omit_with`] under an observability scope.
-///
-/// The restoration and omission phases each run inside their own
-/// `Pass`-kind span. The `Reference` engine stays unobserved internally
-/// (it is the bit-exact oracle and must not depend on instrumentation),
-/// but its phases are still bracketed by spans so flow traces keep their
-/// shape regardless of engine choice.
-pub fn restore_then_omit_observed(
-    circuit: &Circuit,
-    faults: &FaultList,
-    sequence: &TestSequence,
-    omission_passes: usize,
-    engine: CompactionEngine,
-    obs: &ObsHandle,
-) -> Compacted {
-    let (restored, omitted) = match engine {
-        CompactionEngine::Incremental => {
-            let r = {
-                let span = obs.span(SpanKind::Pass, "restore");
-                restoration_observed(circuit, faults, sequence, span.handle())
-            };
-            let o = {
-                let span = obs.span(SpanKind::Pass, "omit");
-                omission_observed(circuit, faults, &r.sequence, omission_passes, span.handle())
-            };
-            (r, o)
-        }
-        CompactionEngine::Reference => {
-            let r = {
-                let _span = obs.span(SpanKind::Pass, "restore");
-                restoration_reference(circuit, faults, sequence)
-            };
-            let o = {
-                let _span = obs.span(SpanKind::Pass, "omit");
-                omission_reference(circuit, faults, &r.sequence, omission_passes)
-            };
-            (r, o)
-        }
-    };
+    let restored = restoration(circuit, faults, sequence);
+    let omitted = omission(circuit, faults, &restored.sequence, omission_passes);
     Compacted {
         sequence: omitted.sequence,
         original_len: sequence.len(),

@@ -35,7 +35,7 @@ use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
 use limscan_sim::{sim_threads, PrefixState, SeqFaultSim, TestSequence, TrialCheckpoints};
 
-use crate::{Compacted, CompactionEngine};
+use crate::Compacted;
 
 /// Compacts `sequence` by repeated vector omission with up to `max_passes`
 /// passes; the target faults are those the input sequence detects.
@@ -68,12 +68,7 @@ pub fn omission_observed(
     max_passes: usize,
     obs: &ObsHandle,
 ) -> Compacted {
-    let before = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(sequence);
-        sim.report()
-    };
+    let before = SeqFaultSim::run_observed(circuit, faults, sequence, obs);
     let target_ids: Vec<FaultId> = before.detected();
     let targets = FaultList::from_faults(target_ids.iter().map(|&id| faults.fault(id)));
     let target_count = targets.len();
@@ -91,12 +86,7 @@ pub fn omission_observed(
         }
     }
 
-    let after = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(&current);
-        sim.report()
-    };
+    let after = SeqFaultSim::run_observed(circuit, faults, &current, obs);
     let extra_detected = faults
         .ids()
         .filter(|&id| after.is_detected(id) && !before.is_detected(id))
@@ -296,16 +286,12 @@ fn reference_trial(
 ///
 /// The latched [`StopReason`] when the token trips; the pass's partial
 /// work is discarded (the input sequence remains the resume point).
-// One argument over the limit, but every one is load-bearing flow state;
-// bundling them into a context struct would only rename the problem.
-#[allow(clippy::too_many_arguments)]
 pub fn omission_pass_resumable(
     circuit: &Circuit,
     faults: &FaultList,
     sequence: &TestSequence,
     target_indices: &[usize],
     pass: usize,
-    engine: CompactionEngine,
     obs: &ObsHandle,
     ctl: &CancelToken,
 ) -> Result<(TestSequence, bool), StopReason> {
@@ -317,17 +303,7 @@ pub fn omission_pass_resumable(
             .iter()
             .map(|&i| faults.fault(FaultId::from_index(i))),
     );
-    match engine {
-        CompactionEngine::Incremental => {
-            omission_pass(circuit, &targets, sequence, pass, obs, Some(ctl))
-        }
-        CompactionEngine::Reference => {
-            ctl.charge_vectors(sequence.len() as u64);
-            ctl.check()?;
-            let _span = obs.span_indexed(SpanKind::Pass, "omission-pass", pass as u64 + 1);
-            Ok(omission_reference_pass(circuit, &targets, sequence))
-        }
-    }
+    omission_pass(circuit, &targets, sequence, pass, obs, Some(ctl))
 }
 
 /// The pre-checkpoint omission engine: one cloned [`SeqFaultSim`] and a

@@ -32,7 +32,9 @@ use limscan_fault::{Fault, FaultList};
 use limscan_harness::{CancelToken, StopReason};
 use limscan_netlist::Circuit;
 use limscan_obs::{Metric, ObsHandle, SpanKind};
-use limscan_sim::{single_fault_detects, Logic, SeqFaultSim, SingleFaultSim, TestSequence};
+use limscan_sim::{
+    single_fault_detects, DetectionReport, Logic, SeqFaultSim, SingleFaultSim, TestSequence,
+};
 
 use crate::Compacted;
 
@@ -146,6 +148,7 @@ pub fn restoration_observed(
 ) -> Compacted {
     restoration_impl(circuit, faults, sequence, obs, None)
         .expect("unbudgeted restoration cannot stop early")
+        .0
 }
 
 /// [`restoration_observed`] under a [`CancelToken`]: the token is
@@ -157,6 +160,11 @@ pub fn restoration_observed(
 /// once every target is covered — so an early stop discards the partial
 /// mask and the flow resumes restoration from the uncompacted sequence.
 ///
+/// Alongside the compacted sequence it returns the detection report of
+/// that sequence over all of `faults` (the verification simulation every
+/// restoration ends with): its detected set is what omission compacts
+/// toward next.
+///
 /// # Errors
 ///
 /// The latched [`StopReason`] when the token trips.
@@ -166,7 +174,7 @@ pub fn restoration_resumable(
     sequence: &TestSequence,
     obs: &ObsHandle,
     ctl: &CancelToken,
-) -> Result<Compacted, StopReason> {
+) -> Result<(Compacted, DetectionReport), StopReason> {
     restoration_impl(circuit, faults, sequence, obs, Some(ctl))
 }
 
@@ -176,13 +184,8 @@ fn restoration_impl(
     sequence: &TestSequence,
     obs: &ObsHandle,
     ctl: Option<&CancelToken>,
-) -> Result<Compacted, StopReason> {
-    let report = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(sequence);
-        sim.report()
-    };
+) -> Result<(Compacted, DetectionReport), StopReason> {
+    let report = SeqFaultSim::run_observed(circuit, faults, sequence, obs);
     let mut targets: Vec<(u32, limscan_fault::FaultId)> = faults
         .ids()
         .filter_map(|id| report.detected_at(id).map(|t| (t, id)))
@@ -249,13 +252,7 @@ fn restoration_impl(
             if !remaining.is_empty() {
                 let sub =
                     FaultList::from_faults(remaining.iter().map(|&j| faults.fault(targets[j].1)));
-                let kept = sequence.select(&keep);
-                let report = {
-                    let mut sim = SeqFaultSim::new(circuit, &sub);
-                    sim.set_obs(obs);
-                    sim.extend(&kept);
-                    sim.report()
-                };
+                let report = SeqFaultSim::run_observed(circuit, &sub, &sequence.select(&keep), obs);
                 for (k, &j) in remaining.iter().enumerate() {
                     if report.is_detected(limscan_fault::FaultId::from_index(k)) {
                         covered[j] = true;
@@ -266,22 +263,18 @@ fn restoration_impl(
     }
 
     let sequence_out = sequence.select(&keep);
-    let after = {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        sim.set_obs(obs);
-        sim.extend(&sequence_out);
-        sim.report()
-    };
+    let after = SeqFaultSim::run_observed(circuit, faults, &sequence_out, obs);
     let extra_detected = faults
         .ids()
         .filter(|&id| after.is_detected(id) && !report.is_detected(id))
         .count();
-    Ok(Compacted {
+    let compacted = Compacted {
         sequence: sequence_out,
         original_len: sequence.len(),
         target_count,
         extra_detected,
-    })
+    };
+    Ok((compacted, after))
 }
 
 /// The pre-cache restoration engine: one full [`single_fault_detects`]

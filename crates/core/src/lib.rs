@@ -68,8 +68,8 @@ pub use flow::{
     AnalysisOptions, Engine, FlowAnalysis, FlowConfig, FlowError, GenerationFlow, TranslationFlow,
 };
 pub use resilient::{
-    resume_flow, run_compaction_resilient, run_generation_resilient, run_translation_resilient,
-    ResilientConfig, ResilientRun,
+    resume_flow, run_compaction_resilient, run_generation_resilient, run_generation_uncompacted,
+    run_translation_resilient, ResilientConfig, ResilientRun,
 };
 
 pub use limscan_analyze as analyze;

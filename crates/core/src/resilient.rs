@@ -1,9 +1,9 @@
-//! Budget-aware, checkpointing execution of the two flows.
+//! The pass-boundary state machine: the one driver behind both flows.
 //!
 //! [`GenerationFlow`](crate::GenerationFlow) and
-//! [`TranslationFlow`](crate::TranslationFlow) run to completion or not at
-//! all. This module drives the same pipelines under a [`RunBudget`]: the
-//! run charges its work against a [`CancelToken`], writes a versioned
+//! [`TranslationFlow`](crate::TranslationFlow) are this machine run with an
+//! unlimited budget and no snapshot store. Under a [`RunBudget`] the run
+//! charges its work against a [`CancelToken`], writes a versioned
 //! [`FlowSnapshot`] at every pass boundary (when a [`SnapshotStore`] is
 //! configured), and — when a limit trips or the token is cancelled — stops
 //! at the next boundary with a typed [`FlowOutcome::Partial`] instead of
@@ -25,17 +25,17 @@
 //! discards the partial mask and the snapshot stays at the `Compact` phase
 //! (resume re-runs restoration from the uncompacted sequence).
 
+use std::cell::OnceCell;
 use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use limscan_atpg::first_approach;
+use limscan_atpg::first_approach::{self, CombAtpgOutcome};
 use limscan_atpg::genetic::GeneticAtpg;
-use limscan_atpg::SequentialAtpg;
+use limscan_atpg::{AtpgOutcome, SequentialAtpg};
 use limscan_compact::{
-    omission_pass_resumable, restoration_reference, restoration_resumable, scan_test_set,
-    CompactionEngine,
+    omission_pass_resumable, restoration_resumable, scan_test_set, Compacted, CompactedSet,
 };
 use limscan_fault::FaultList;
 use limscan_harness::{
@@ -47,7 +47,10 @@ use limscan_obs::{FlowReport, Metric, MetricsCollector, ObsHandle, SpanKind};
 use limscan_scan::ScanCircuit;
 use limscan_sim::{SeqFaultSim, TestSequence};
 
-use crate::flow::{build_source, check_scannable, lint_gate, Engine, FlowConfig, FlowError};
+use crate::flow::{
+    apply_analysis, build_source, check_scannable, lint_gate, Engine, FlowAnalysis, FlowConfig,
+    FlowError,
+};
 
 /// Configuration of a resilient run: the flow itself plus its resource
 /// budget and (optionally) where to persist pass-boundary snapshots.
@@ -72,11 +75,12 @@ impl Default for ResilientConfig {
     }
 }
 
-/// The artifact of a completed resilient run: the final (compacted) test
-/// sequence and its coverage. Thinner than
-/// [`GenerationFlow`](crate::GenerationFlow) by design — a resumed run
-/// cannot reconstruct the per-phase statistics of work done in a previous
-/// process, so only end-state facts are reported.
+/// The artifact of a completed run: the final test sequence and its
+/// coverage, plus the record of every phase that ran in this process.
+///
+/// A fresh run fills in every record of its flow. A resumed run cannot
+/// reconstruct the statistics of work done in an earlier process, so the
+/// records of phases before its resume point are `None`.
 #[derive(Clone, Debug)]
 pub struct ResilientRun {
     /// The final test sequence.
@@ -88,9 +92,48 @@ pub struct ResilientRun {
     /// Phase timings and metric totals for *this process's* share of the
     /// run. Empty unless the `trace` feature is on.
     pub report: FlowReport,
+    /// The scan circuit the run worked on.
+    pub scan: ScanCircuit,
+    /// Target faults over `C_scan` (collapsed, possibly sampled, and with
+    /// statically-untestable faults removed when analysis pruning is on).
+    pub faults: FaultList,
+    /// What the static analysis pass did, when enabled.
+    pub analysis: Option<FlowAnalysis>,
+    /// Generation flow: the generator's outcome (sequence `T` of Table 6).
+    pub generated: Option<AtpgOutcome>,
+    /// Translation flow: the conventional baseline test set.
+    pub baseline: Option<CombAtpgOutcome>,
+    /// Translation flow: the `[26]`-style pruned baseline.
+    pub baseline_compacted: Option<CompactedSet>,
+    /// Translation flow: the translated, X-specified flat sequence.
+    pub translated: Option<TestSequence>,
+    /// After vector restoration (`T_restor`).
+    pub restored: Option<Compacted>,
+    /// After vector omission of `T_restor` (`T_omit`); `None` as well when
+    /// omission resumed past its first pass.
+    pub omitted: Option<Compacted>,
 }
 
 impl ResilientRun {
+    /// A run that has done nothing past scan insertion and analysis yet.
+    fn new(scan: ScanCircuit, faults: FaultList, analysis: Option<FlowAnalysis>) -> Self {
+        ResilientRun {
+            sequence: TestSequence::new(0),
+            detected: 0,
+            total_faults: faults.len(),
+            report: FlowReport::default(),
+            scan,
+            faults,
+            analysis,
+            generated: None,
+            baseline: None,
+            baseline_compacted: None,
+            translated: None,
+            restored: None,
+            omitted: None,
+        }
+    }
+
     /// Fault coverage of the final sequence, in percent.
     #[must_use]
     pub fn coverage_percent(&self) -> f64 {
@@ -107,13 +150,12 @@ impl ResilientRun {
 fn config_digest(kind: FlowKind, config: &FlowConfig) -> u64 {
     fnv64(
         format!(
-            "{:?}|{:?}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{}|{}|{}|{}|{:?}",
             kind,
             config.engine,
             config.atpg,
             config.baseline,
             config.omission_passes,
-            config.compaction,
             config.max_faults,
             config.scan_chains,
             config.seed,
@@ -134,7 +176,8 @@ fn snapshot_template(kind: FlowKind, circuit: &Circuit, config: &FlowConfig) -> 
         max_faults: config.max_faults,
         omission_passes: config.omission_passes,
         seed: config.seed,
-        reference_engine: config.compaction == CompactionEngine::Reference,
+        prune_untestable: config.analysis.prune_untestable,
+        dominance_targeting: config.analysis.dominance_targeting,
         circuit_bench: bench_format::write(circuit),
         phase: FlowPhase::Compact {
             sequence: TestSequence::new(0),
@@ -142,12 +185,18 @@ fn snapshot_template(kind: FlowKind, circuit: &Circuit, config: &FlowConfig) -> 
     }
 }
 
-/// Pass-boundary bookkeeping: numbers the boundaries, persists a snapshot
-/// at each one, and consults the token. A failed snapshot write degrades
-/// (the flow keeps running, the event is observable) instead of aborting —
-/// losing a checkpoint must never lose the run.
+/// The run's context and pass-boundary bookkeeping: numbers the
+/// boundaries, persists a snapshot at each one, and consults the token. A
+/// failed snapshot write degrades (the flow keeps running, the event is
+/// observable) instead of aborting — losing a checkpoint must never lose
+/// the run.
 struct Boundary<'a> {
-    template: FlowSnapshot,
+    kind: FlowKind,
+    circuit: &'a Circuit,
+    config: &'a FlowConfig,
+    /// Built on first use: a run with no store that never stops builds no
+    /// snapshot at all.
+    template: OnceCell<FlowSnapshot>,
     store: Option<&'a SnapshotStore>,
     ctl: &'a CancelToken,
     obs: &'a ObsHandle,
@@ -156,9 +205,12 @@ struct Boundary<'a> {
 
 impl Boundary<'_> {
     fn snapshot(&self, phase: FlowPhase) -> FlowSnapshot {
+        let template = self
+            .template
+            .get_or_init(|| snapshot_template(self.kind, self.circuit, self.config));
         FlowSnapshot {
             phase,
-            ..self.template.clone()
+            ..template.clone()
         }
     }
 
@@ -177,22 +229,29 @@ impl Boundary<'_> {
         }
     }
 
-    /// A pass boundary: snapshot, then check the budget. `Err` carries the
-    /// ready-made partial outcome for the caller to return.
+    /// A pass boundary: snapshot (when a store wants one), then check the
+    /// budget. `Err` carries the ready-made partial outcome for the caller
+    /// to return.
     // The large Err is the point: it is the finished partial outcome,
     // constructed once per run at most — not worth a box.
     #[allow(clippy::result_large_err)]
-    fn boundary(&mut self, phase: FlowPhase) -> Result<(), FlowOutcome<ResilientRun>> {
+    fn boundary(&mut self, phase: impl Fn() -> FlowPhase) -> Result<(), FlowOutcome<ResilientRun>> {
         self.index += 1;
-        let snapshot = self.snapshot(phase);
-        let path = self.persist(&snapshot);
+        let persisted = self.store.is_some().then(|| {
+            let snapshot = self.snapshot(phase());
+            let path = self.persist(&snapshot);
+            (snapshot, path)
+        });
         match self.ctl.pass_boundary() {
             Ok(()) => Ok(()),
-            Err(reason) => Err(FlowOutcome::Partial {
-                reason,
-                snapshot,
-                path,
-            }),
+            Err(reason) => {
+                let (snapshot, path) = persisted.unwrap_or_else(|| (self.snapshot(phase()), None));
+                Err(FlowOutcome::Partial {
+                    reason,
+                    snapshot,
+                    path,
+                })
+            }
         }
     }
 
@@ -208,6 +267,18 @@ impl Boundary<'_> {
             path,
         }
     }
+}
+
+/// How a run gets its circuit.
+pub(crate) enum Input<'a> {
+    /// A built circuit, checked by the lint gate when
+    /// [`FlowConfig::lint`] is on.
+    Circuit(&'a Circuit),
+    /// `.bench` source text, parsed (and linted) inside the flow span.
+    Source { name: &'a str, text: &'a str },
+    /// A circuit rebuilt from a snapshot: it was validated when the
+    /// snapshot was taken, so the gate is skipped.
+    Snapshot(&'a Circuit),
 }
 
 /// Where a (possibly resumed) run enters the pipeline.
@@ -226,14 +297,22 @@ enum CompactStage {
     Omit(OmitCursor),
 }
 
+/// Where a run ends when no budget stops it first.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Until {
+    /// At the Generate boundary: the generated sequence, uncompacted.
+    Generated,
+    /// After the last omission pass.
+    Compacted,
+}
+
 fn drive_generation(
     circuit: &Circuit,
-    config: &FlowConfig,
-    ctl: &CancelToken,
     bdy: &mut Boundary<'_>,
-    obs: &ObsHandle,
     start: Stage,
+    until: Until,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
+    let (config, obs) = (bdy.config, bdy.obs);
     check_scannable(circuit, config.scan_chains)?;
     let (scan, faults) = {
         let _span = obs.span(SpanKind::Pass, "scan-insert");
@@ -241,17 +320,24 @@ fn drive_generation(
         let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
         (scan, faults)
     };
+    let (faults, target_order, analysis) =
+        apply_analysis(scan.circuit(), faults, &config.analysis, obs);
+    let mut run = ResilientRun::new(scan, faults, analysis);
 
     let stage = match start {
         Stage::Generate(cursor) => {
-            let sequence = {
+            let generated = {
                 let span = obs.span(SpanKind::Pass, "generate");
                 match &config.engine {
                     Engine::Deterministic => {
-                        let atpg = SequentialAtpg::new(&scan, &faults, config.atpg.clone())
-                            .with_obs(span.handle());
-                        match atpg.run_budgeted(ctl, cursor.as_ref()) {
-                            Ok(outcome) => outcome.sequence,
+                        let mut atpg =
+                            SequentialAtpg::new(&run.scan, &run.faults, config.atpg.clone())
+                                .with_obs(span.handle());
+                        if let Some(order) = target_order {
+                            atpg = atpg.with_target_order(order);
+                        }
+                        match atpg.run_budgeted(bdy.ctl, cursor.as_ref()) {
+                            Ok(outcome) => outcome,
                             Err(stop) => {
                                 return Ok(
                                     bdy.partial(stop.reason, FlowPhase::Generate(stop.cursor))
@@ -262,47 +348,70 @@ fn drive_generation(
                     // The genetic engine is simulation-driven and atomic:
                     // it has no safe mid-run cursor, so it runs whole and
                     // the budget is consulted at the boundary after it.
-                    Engine::Genetic(gc) => GeneticAtpg::new(&scan, &faults, gc.clone()).run().0,
+                    Engine::Genetic(gc) => {
+                        let (sequence, report) =
+                            GeneticAtpg::new(&run.scan, &run.faults, gc.clone()).run();
+                        let aborted = report.total() - report.detected_count();
+                        AtpgOutcome {
+                            sequence,
+                            report,
+                            funct_detected: 0,
+                            scan_loads: 0,
+                            aborted,
+                        }
+                    }
                 }
             };
-            if let Err(partial) = bdy.boundary(FlowPhase::Compact {
+            let sequence = generated.sequence.clone();
+            let checkpoint = bdy.boundary(|| FlowPhase::Compact {
                 sequence: sequence.clone(),
-            }) {
+            });
+            if until == Until::Generated {
+                // The requested work is done, so a budget that trips at
+                // this very boundary stops nothing.
+                run.detected = generated.report.detected_count();
+                run.generated = Some(generated);
+                run.sequence = sequence;
+                return Ok(FlowOutcome::Complete(run));
+            }
+            if let Err(partial) = checkpoint {
                 return Ok(partial);
             }
+            run.generated = Some(generated);
             CompactStage::Restore(sequence)
         }
         Stage::Compact(sequence) => CompactStage::Restore(sequence),
         Stage::Omit(cursor) => CompactStage::Omit(cursor),
     };
-    Ok(compact_stages(&scan, &faults, config, ctl, bdy, obs, stage))
+    Ok(compact_stages(run, bdy, stage))
 }
 
 fn drive_translation(
     circuit: &Circuit,
-    config: &FlowConfig,
-    ctl: &CancelToken,
     bdy: &mut Boundary<'_>,
-    obs: &ObsHandle,
     start: Stage,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
+    let (config, obs) = (bdy.config, bdy.obs);
     check_scannable(circuit, 1)?;
     let scan = {
         let _span = obs.span(SpanKind::Pass, "scan-insert");
         ScanCircuit::insert(circuit)
     };
-    let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
 
+    let mut front = None;
     let stage = match start {
         // The baseline + translation front end is atomic and fully
         // deterministic, so any pre-compaction entry re-runs it whole; the
         // first checkpoint is the translated sequence.
         Stage::Generate(_) => {
-            let baseline_compacted = {
+            // The baseline targets faults of the original circuit (that is
+            // all a conventional tool sees).
+            let (baseline, baseline_compacted) = {
                 let _span = obs.span(SpanKind::Pass, "baseline");
                 let base_faults = FaultList::collapsed(circuit).sample(config.max_faults);
                 let baseline = first_approach::generate(circuit, &base_faults, &config.baseline);
-                scan_test_set(circuit, &base_faults, &baseline.set)
+                let baseline_compacted = scan_test_set(circuit, &base_faults, &baseline.set);
+                (baseline, baseline_compacted)
             };
             let translated = {
                 let _span = obs.span(SpanKind::Pass, "translate");
@@ -311,49 +420,46 @@ fn drive_translation(
                 translated.specify_x(&mut rng);
                 translated
             };
-            if let Err(partial) = bdy.boundary(FlowPhase::Compact {
+            if let Err(partial) = bdy.boundary(|| FlowPhase::Compact {
                 sequence: translated.clone(),
             }) {
                 return Ok(partial);
             }
-            CompactStage::Restore(translated)
+            let stage = CompactStage::Restore(translated.clone());
+            front = Some((baseline, baseline_compacted, translated));
+            stage
         }
         Stage::Compact(sequence) => CompactStage::Restore(sequence),
         Stage::Omit(cursor) => CompactStage::Omit(cursor),
     };
-    Ok(compact_stages(&scan, &faults, config, ctl, bdy, obs, stage))
+    let faults = FaultList::collapsed(scan.circuit()).sample(config.max_faults);
+    // The translation flow has no sequential generator, so only the
+    // pruning half of the analysis applies (the target order is unused).
+    let (faults, _, analysis) = apply_analysis(scan.circuit(), faults, &config.analysis, obs);
+    let mut run = ResilientRun::new(scan, faults, analysis);
+    if let Some((baseline, baseline_compacted, translated)) = front {
+        run.baseline = Some(baseline);
+        run.baseline_compacted = Some(baseline_compacted);
+        run.translated = Some(translated);
+    }
+    Ok(compact_stages(run, bdy, stage))
 }
 
 /// The restoration → omission tail shared by both flows, with a checkpoint
-/// after restoration and between omission passes. Mirrors the classic
-/// `compact_pipeline` pass-for-pass so a `Complete` outcome's sequence is
-/// identical to the uninterrupted flow's.
+/// after restoration and between omission passes.
 fn compact_stages(
-    scan: &ScanCircuit,
-    faults: &FaultList,
-    config: &FlowConfig,
-    ctl: &CancelToken,
+    mut run: ResilientRun,
     bdy: &mut Boundary<'_>,
-    obs: &ObsHandle,
     start: CompactStage,
 ) -> FlowOutcome<ResilientRun> {
-    let circuit = scan.circuit();
+    let (config, ctl, obs) = (bdy.config, bdy.ctl, bdy.obs);
+    let circuit = run.scan.circuit();
+    let faults = &run.faults;
     let mut cursor = match start {
         CompactStage::Restore(sequence) => {
-            let restored = {
+            let (restored, detection) = {
                 let span = obs.span(SpanKind::Pass, "restore");
-                let result = match config.compaction {
-                    CompactionEngine::Incremental => {
-                        restoration_resumable(circuit, faults, &sequence, span.handle(), ctl)
-                    }
-                    // The reference oracle must stay instrumentation-free;
-                    // it runs whole and the token is consulted after.
-                    CompactionEngine::Reference => {
-                        let r = restoration_reference(circuit, faults, &sequence);
-                        ctl.check().map(|()| r)
-                    }
-                };
-                match result {
+                match restoration_resumable(circuit, faults, &sequence, span.handle(), ctl) {
                     Ok(r) => r,
                     // Restoration has no mid-run cursor: the partial mask
                     // is discarded and resume re-runs it from `sequence`.
@@ -361,20 +467,16 @@ fn compact_stages(
                 }
             };
             // Omission targets are the faults the restored sequence
-            // detects (matching `omission_observed`); stored as indices in
-            // the cursor so a resumed run compacts toward the same set.
-            let targets: Vec<usize> = SeqFaultSim::run(circuit, faults, &restored.sequence)
-                .detected()
-                .iter()
-                .map(|id| id.index())
-                .collect();
+            // detects, stored as indices in the cursor so a resumed run
+            // compacts toward the same set.
             let cursor = OmitCursor {
                 pass: 0,
-                sequence: restored.sequence,
-                targets,
+                sequence: restored.sequence.clone(),
+                targets: detection.detected().iter().map(|id| id.index()).collect(),
                 original_len: sequence.len(),
             };
-            if let Err(partial) = bdy.boundary(FlowPhase::Omit(cursor.clone())) {
+            run.restored = Some(restored);
+            if let Err(partial) = bdy.boundary(|| FlowPhase::Omit(cursor.clone())) {
                 return partial;
             }
             cursor
@@ -382,48 +484,63 @@ fn compact_stages(
         CompactStage::Omit(cursor) => cursor,
     };
 
-    {
-        let span = obs.span(SpanKind::Pass, "omit");
-        while cursor.pass < config.omission_passes && !cursor.sequence.is_empty() {
-            match omission_pass_resumable(
-                circuit,
-                faults,
-                &cursor.sequence,
-                &cursor.targets,
-                cursor.pass,
-                config.compaction,
-                span.handle(),
-                ctl,
-            ) {
-                Ok((next, changed)) => {
-                    cursor.pass += 1;
-                    cursor.sequence = next;
-                    if !changed {
-                        break;
-                    }
-                    if cursor.pass < config.omission_passes {
-                        if let Err(partial) = bdy.boundary(FlowPhase::Omit(cursor.clone())) {
-                            return partial;
-                        }
+    let span = obs.span(SpanKind::Pass, "omit");
+    // Omission starting from its first pass in this process gets a full
+    // record: the faults the restored sequence detects are its baseline.
+    let before = (cursor.pass == 0).then(|| {
+        let report = SeqFaultSim::run_observed(circuit, faults, &cursor.sequence, span.handle());
+        (report, cursor.sequence.len())
+    });
+    while cursor.pass < config.omission_passes && !cursor.sequence.is_empty() {
+        match omission_pass_resumable(
+            circuit,
+            faults,
+            &cursor.sequence,
+            &cursor.targets,
+            cursor.pass,
+            span.handle(),
+            ctl,
+        ) {
+            Ok((next, changed)) => {
+                cursor.pass += 1;
+                cursor.sequence = next;
+                if !changed {
+                    break;
+                }
+                if cursor.pass < config.omission_passes {
+                    if let Err(partial) = bdy.boundary(|| FlowPhase::Omit(cursor.clone())) {
+                        return partial;
                     }
                 }
-                // A tripped pass discards its partial work; the cursor
-                // still names the sequence the pass started from.
-                Err(reason) => return bdy.partial(reason, FlowPhase::Omit(cursor.clone())),
             }
+            // A tripped pass discards its partial work; the cursor still
+            // names the sequence the pass started from.
+            Err(reason) => return bdy.partial(reason, FlowPhase::Omit(cursor)),
         }
     }
+    let after = SeqFaultSim::run_observed(circuit, faults, &cursor.sequence, span.handle());
+    drop(span);
 
-    let report = SeqFaultSim::run(circuit, faults, &cursor.sequence);
-    FlowOutcome::Complete(ResilientRun {
-        sequence: cursor.sequence,
-        detected: report.detected_count(),
-        total_faults: faults.len(),
-        report: FlowReport::default(),
-    })
+    run.omitted = before.map(|(before, original_len)| Compacted {
+        sequence: cursor.sequence.clone(),
+        original_len,
+        target_count: before.detected_count(),
+        extra_detected: faults
+            .ids()
+            .filter(|&id| after.is_detected(id) && !before.is_detected(id))
+            .count(),
+    });
+    run.detected = after.detected_count();
+    run.sequence = cursor.sequence;
+    FlowOutcome::Complete(run)
 }
 
 /// Fills in the completed run's [`FlowReport`] once the flow span closed.
+/// The detection profile describes the uncompacted sequence when this
+/// process produced it: straight from the generator's report, or from an
+/// unobserved simulation of the translated sequence. The event log cannot
+/// provide it, because compaction re-simulates prefixes and would
+/// double-count detections.
 fn attach(
     outcome: FlowOutcome<ResilientRun>,
     collector: &MetricsCollector,
@@ -431,6 +548,16 @@ fn attach(
     match outcome {
         FlowOutcome::Complete(mut run) => {
             run.report = FlowReport::from_collector(collector);
+            if run.report.enabled {
+                run.report.detection_profile = match (&run.generated, &run.translated) {
+                    (Some(generated), _) => generated.report.detection_profile(),
+                    (None, Some(translated)) => {
+                        SeqFaultSim::run(run.scan.circuit(), &run.faults, translated)
+                            .detection_profile()
+                    }
+                    (None, None) => Vec::new(),
+                };
+            }
             FlowOutcome::Complete(run)
         }
         partial => partial,
@@ -438,15 +565,15 @@ fn attach(
 }
 
 fn execute(
-    circuit: &Circuit,
-    rcfg: &ResilientConfig,
+    input: Input<'_>,
     kind: FlowKind,
+    rcfg: &ResilientConfig,
     start: Stage,
-    lint: bool,
+    until: Until,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
     let config = &rcfg.flow;
     let (obs, collector) = config.obs.with_collector();
-    let result = {
+    let outcome = {
         let flow = obs.span(
             SpanKind::Flow,
             match kind {
@@ -454,33 +581,59 @@ fn execute(
                 FlowKind::Translation => "translation-flow",
             },
         );
-        let gate = || -> Result<(), FlowError> {
-            if lint && config.lint {
-                let _span = flow.child(SpanKind::Pass, "lint-gate");
-                lint_gate(circuit)?;
+        let built;
+        let circuit = match input {
+            Input::Circuit(circuit) => {
+                if config.lint {
+                    let _span = flow.child(SpanKind::Pass, "lint-gate");
+                    lint_gate(circuit)?;
+                }
+                circuit
             }
-            Ok(())
+            Input::Source { name, text } => {
+                // The source lint already covers the built form's rule
+                // families.
+                built = {
+                    let _span = flow.child(SpanKind::Pass, "lint-gate");
+                    build_source(name, text, config.lint)?
+                };
+                &built
+            }
+            Input::Snapshot(circuit) => circuit,
         };
-        gate().and_then(|()| {
-            let ctl = CancelToken::new(rcfg.budget.clone());
-            let mut bdy = Boundary {
-                template: snapshot_template(kind, circuit, config),
-                store: rcfg.snapshots.as_ref(),
-                ctl: &ctl,
-                obs: flow.handle(),
-                index: 0,
-            };
-            match kind {
-                FlowKind::Generation => {
-                    drive_generation(circuit, config, &ctl, &mut bdy, flow.handle(), start)
-                }
-                FlowKind::Translation => {
-                    drive_translation(circuit, config, &ctl, &mut bdy, flow.handle(), start)
-                }
-            }
-        })
+        let ctl = CancelToken::new(rcfg.budget.clone());
+        let mut bdy = Boundary {
+            kind,
+            circuit,
+            config,
+            template: OnceCell::new(),
+            store: rcfg.snapshots.as_ref(),
+            ctl: &ctl,
+            obs: flow.handle(),
+            index: 0,
+        };
+        match kind {
+            FlowKind::Generation => drive_generation(circuit, &mut bdy, start, until)?,
+            FlowKind::Translation => drive_translation(circuit, &mut bdy, start)?,
+        }
     };
-    Ok(attach(result?, &collector))
+    Ok(attach(outcome, &collector))
+}
+
+/// A flow run to completion: unlimited budget, no snapshot store. This is
+/// what [`GenerationFlow`](crate::GenerationFlow) and
+/// [`TranslationFlow`](crate::TranslationFlow) are built from.
+pub(crate) fn run_unlimited(
+    input: Input<'_>,
+    kind: FlowKind,
+    config: &FlowConfig,
+) -> Result<ResilientRun, FlowError> {
+    let rcfg = ResilientConfig {
+        flow: config.clone(),
+        budget: RunBudget::unlimited(),
+        snapshots: None,
+    };
+    Ok(execute(input, kind, &rcfg, Stage::Generate(None), Until::Compacted)?.into_complete())
 }
 
 /// Runs the generation flow under a budget, checkpointing at every pass
@@ -490,20 +643,40 @@ fn execute(
 ///
 /// # Errors
 ///
-/// The same validation errors as the classic flow
-/// ([`FlowError::Lint`], [`FlowError::NoFlipFlops`],
-/// [`FlowError::ChainCount`]). Budget trips are **not** errors — they are
-/// [`FlowOutcome::Partial`].
+/// The flow's validation errors ([`FlowError::Lint`],
+/// [`FlowError::NoFlipFlops`], [`FlowError::ChainCount`]). Budget trips
+/// are **not** errors — they are [`FlowOutcome::Partial`].
 pub fn run_generation_resilient(
     circuit: &Circuit,
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
     execute(
-        circuit,
-        rcfg,
+        Input::Circuit(circuit),
         FlowKind::Generation,
+        rcfg,
         Stage::Generate(None),
-        true,
+        Until::Compacted,
+    )
+}
+
+/// Runs the generation flow up to its Generate boundary and stops there:
+/// a `Complete` outcome's sequence is the generated, uncompacted one. The
+/// boundary still writes its snapshot when a store is configured, so
+/// [`resume_flow`] can compact the sequence later.
+///
+/// # Errors
+///
+/// As [`run_generation_resilient`].
+pub fn run_generation_uncompacted(
+    circuit: &Circuit,
+    rcfg: &ResilientConfig,
+) -> Result<FlowOutcome<ResilientRun>, FlowError> {
+    execute(
+        Input::Circuit(circuit),
+        FlowKind::Generation,
+        rcfg,
+        Stage::Generate(None),
+        Until::Generated,
     )
 }
 
@@ -519,11 +692,11 @@ pub fn run_translation_resilient(
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
     execute(
-        circuit,
-        rcfg,
+        Input::Circuit(circuit),
         FlowKind::Translation,
+        rcfg,
         Stage::Generate(None),
-        true,
+        Until::Compacted,
     )
 }
 
@@ -532,7 +705,7 @@ pub fn run_translation_resilient(
 /// same checkpoint boundaries as [`run_generation_resilient`] — this is
 /// how a standalone "compact this sequence" job gets the full park/resume
 /// treatment. A `Complete` outcome matches
-/// [`compact_pipeline`](limscan_compact::compact_pipeline) over the same
+/// [`restore_then_omit`](limscan_compact::restore_then_omit) over the same
 /// scan circuit and fault list.
 ///
 /// # Errors
@@ -544,11 +717,11 @@ pub fn run_compaction_resilient(
     rcfg: &ResilientConfig,
 ) -> Result<FlowOutcome<ResilientRun>, FlowError> {
     execute(
-        circuit,
-        rcfg,
+        Input::Circuit(circuit),
         FlowKind::Generation,
+        rcfg,
         Stage::Compact(sequence.clone()),
-        true,
+        Until::Compacted,
     )
 }
 
@@ -579,7 +752,13 @@ pub fn resume_flow(
         FlowPhase::Compact { sequence } => Stage::Compact(sequence.clone()),
         FlowPhase::Omit(c) => Stage::Omit(c.clone()),
     };
-    execute(&circuit, rcfg, snapshot.kind, start, false)
+    execute(
+        Input::Snapshot(&circuit),
+        snapshot.kind,
+        rcfg,
+        start,
+        Until::Compacted,
+    )
 }
 
 #[cfg(test)]
@@ -615,6 +794,20 @@ mod tests {
             .unwrap()
             .into_complete();
         assert_eq!(run.sequence, classic.omitted.sequence);
+    }
+
+    #[test]
+    fn uncompacted_run_stops_at_the_generate_boundary() {
+        let circuit = benchmarks::s27();
+        let classic = GenerationFlow::run(&circuit, &FlowConfig::default()).unwrap();
+        let run = run_generation_uncompacted(&circuit, &ResilientConfig::default())
+            .unwrap()
+            .into_complete();
+        assert_eq!(run.sequence, classic.generated.sequence);
+        assert_eq!(run.detected, classic.generated.report.detected_count());
+        assert!(run.restored.is_none() && run.omitted.is_none());
+        let phases: Vec<&str> = run.report.phases.iter().map(|p| p.label.as_str()).collect();
+        assert_eq!(phases, ["lint-gate", "scan-insert", "generate"]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use limscan_sim::{Logic, TestSequence};
 /// Version tag written in the snapshot header. Bump on any incompatible
 /// format change; old versions are rejected with
 /// [`SnapshotError::UnsupportedVersion`] rather than misparsed.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit hash, used for the snapshot body checksum and the flow
 /// configuration digest. Stable across platforms and dependency-free.
@@ -136,8 +136,12 @@ pub struct FlowSnapshot {
     pub omission_passes: usize,
     /// Flow-level seed (X-fill).
     pub seed: u64,
-    /// Whether the reference compaction engine was selected.
-    pub reference_engine: bool,
+    /// Whether the flow pruned statically-untestable faults from its
+    /// target universe (static-analysis option).
+    pub prune_untestable: bool,
+    /// Whether the flow ordered ATPG targets in two dominance tiers
+    /// (static-analysis option).
+    pub dominance_targeting: bool,
     /// The circuit under test as `.bench` text, making the snapshot
     /// self-contained and letting resume verify it simulates identically.
     pub circuit_bench: String,
@@ -242,15 +246,8 @@ impl FlowSnapshot {
         let _ = writeln!(body, "max-faults {}", self.max_faults);
         let _ = writeln!(body, "passes {}", self.omission_passes);
         let _ = writeln!(body, "seed {}", self.seed);
-        let _ = writeln!(
-            body,
-            "engine {}",
-            if self.reference_engine {
-                "reference"
-            } else {
-                "incremental"
-            }
-        );
+        let _ = writeln!(body, "prune-untestable {}", self.prune_untestable);
+        let _ = writeln!(body, "dominance-targeting {}", self.dominance_targeting);
         let circuit_lines: Vec<&str> = self.circuit_bench.lines().collect();
         let _ = writeln!(body, "circuit {}", circuit_lines.len());
         for line in circuit_lines {
@@ -343,11 +340,8 @@ impl FlowSnapshot {
         let max_faults = r.parse_value("max-faults")?;
         let omission_passes = r.parse_value("passes")?;
         let seed: u64 = r.parse_value("seed")?;
-        let reference_engine = match r.value("engine")? {
-            "reference" => true,
-            "incremental" => false,
-            other => return Err(malformed(r.line_no, format!("unknown engine `{other}`"))),
-        };
+        let prune_untestable = r.parse_value("prune-untestable")?;
+        let dominance_targeting = r.parse_value("dominance-targeting")?;
         let n_circuit: usize = r.parse_value("circuit")?;
         let mut circuit_bench = String::new();
         for _ in 0..n_circuit {
@@ -419,7 +413,8 @@ impl FlowSnapshot {
             max_faults,
             omission_passes,
             seed,
-            reference_engine,
+            prune_untestable,
+            dominance_targeting,
             circuit_bench,
             phase,
         })
@@ -518,7 +513,8 @@ mod tests {
             max_faults: 0,
             omission_passes: 2,
             seed: 42,
-            reference_engine: false,
+            prune_untestable: true,
+            dominance_targeting: false,
             circuit_bench: "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n".to_string(),
             phase,
         }
@@ -572,11 +568,32 @@ mod tests {
         let snap = sample(FlowPhase::Compact {
             sequence: sample_sequence(),
         });
-        let text = snap.to_text().replacen("v1", "v999", 1);
+        let text = snap
+            .to_text()
+            .replacen(&format!("v{SNAPSHOT_VERSION}"), "v999", 1);
         assert!(matches!(
             FlowSnapshot::from_text(&text),
             Err(SnapshotError::UnsupportedVersion { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_snapshots_are_refused() {
+        // A well-formed v1 snapshot (checksum intact) still carries the
+        // retired `engine` line; it must be refused by version, not parsed.
+        let body = "kind generation\nconfig 00000000deadbeef\nchains 1\n\
+                    max-faults 0\npasses 2\nseed 42\nengine incremental\n\
+                    circuit 0\nphase compact\nsequence 1 0\nend\n";
+        let text = format!(
+            "limscan-snapshot v1\nchecksum {:016x}\n{body}",
+            fnv64(body.as_bytes())
+        );
+        assert_eq!(
+            FlowSnapshot::from_text(&text),
+            Err(SnapshotError::UnsupportedVersion {
+                found: "v1".to_string()
+            })
+        );
     }
 
     #[test]

@@ -191,7 +191,8 @@ mod tests {
             max_faults: 0,
             omission_passes: 2,
             seed: 7,
-            reference_engine: false,
+            prune_untestable: false,
+            dominance_targeting: false,
             circuit_bench: "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n".to_string(),
             phase: FlowPhase::Compact {
                 sequence: TestSequence::new(2),

@@ -87,18 +87,15 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use limscan::atpg::genetic::GeneticConfig;
-use limscan::compact::{
-    omission_pass_resumable, restoration_resumable, restore_then_omit_observed, CompactionEngine,
-};
 use limscan::fault::CollapseStats;
 use limscan::netlist::{bench_format, blif_format, CircuitStats};
-use limscan::obs::SpanKind;
 use limscan::scan::program::{parse_program, program_stats, write_program};
 use limscan::{
-    benchmarks, resume_flow, run_generation_resilient, AnalysisOptions, CancelToken, Circuit,
-    DifferentialFlow, Engine, EquivFlow, EquivOptions, EquivVerdict, FaultList, FlowConfig,
-    FlowKind, FlowOutcome, FlowReport, GenerationFlow, Logic, ObsHandle, ResilientConfig,
-    RunBudget, ScanCircuit, SeqFaultSim, SnapshotStore, StaticAnalysis, StopReason,
+    benchmarks, resume_flow, run_compaction_resilient, run_generation_resilient,
+    run_generation_uncompacted, AnalysisOptions, Circuit, DifferentialFlow, Engine, EquivFlow,
+    EquivOptions, EquivVerdict, FaultList, FlowConfig, FlowOutcome, FlowPhase, GenerationFlow,
+    Logic, ObsHandle, ResilientConfig, RunBudget, ScanCircuit, SeqFaultSim, SnapshotStore,
+    StaticAnalysis, StopReason,
 };
 use limscan_serve::{Server, ServerConfig, TenantQuota};
 
@@ -186,9 +183,8 @@ fn obs_from_args(args: &[String]) -> Result<(ObsHandle, bool), String> {
     Ok((obs, metrics))
 }
 
-/// Parses `--deadline SECS` / `--max-vectors N` into a budget, plus
-/// whether any limit was actually given.
-fn budget_from_args(args: &[String]) -> Result<(RunBudget, bool), String> {
+/// Parses `--deadline SECS` / `--max-vectors N` into a budget.
+fn budget_from_args(args: &[String]) -> Result<RunBudget, String> {
     let deadline = match flag_value(args, "--deadline") {
         None => None,
         Some(v) => {
@@ -208,15 +204,11 @@ fn budget_from_args(args: &[String]) -> Result<(RunBudget, bool), String> {
                 .map_err(|_| format!("invalid value `{v}` for --max-vectors"))?,
         ),
     };
-    let limited = deadline.is_some() || max_vectors.is_some();
-    Ok((
-        RunBudget {
-            deadline,
-            max_vectors,
-            ..RunBudget::default()
-        },
-        limited,
-    ))
+    Ok(RunBudget {
+        deadline,
+        max_vectors,
+        ..RunBudget::default()
+    })
 }
 
 fn load_circuit(arg: &str) -> Result<Circuit, String> {
@@ -470,104 +462,78 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
     let engine = engine_from_args(args)?;
     let compact = !args.iter().any(|a| a == "--no-compact");
     let analyze = args.iter().any(|a| a == "--analyze");
+    // A snapshot does not record the Generate stop, so `resume` would
+    // compact what an uninterrupted `--no-compact` run leaves alone.
+    if !compact && flag_value(args, "--snapshots").is_some() {
+        return Err("--no-compact cannot be combined with --snapshots".into());
+    }
     let (obs, metrics) = obs_from_args(args)?;
-    let (budget, limited) = budget_from_args(args)?;
-    let snapshots = flag_value(args, "--snapshots").map(SnapshotStore::new);
-
-    let config = FlowConfig {
-        engine,
-        scan_chains: chains,
-        max_faults,
-        obs,
-        analysis: if analyze {
-            AnalysisOptions::all()
-        } else {
-            AnalysisOptions::default()
+    let rcfg = ResilientConfig {
+        flow: FlowConfig {
+            engine,
+            scan_chains: chains,
+            max_faults,
+            obs,
+            analysis: if analyze {
+                AnalysisOptions::all()
+            } else {
+                AnalysisOptions::default()
+            },
+            ..FlowConfig::default()
         },
-        ..FlowConfig::default()
+        budget: budget_from_args(args)?,
+        snapshots: flag_value(args, "--snapshots").map(SnapshotStore::new),
     };
 
-    // Budgeted / checkpointed runs go through the resilient driver; a
-    // plain run keeps the classic flow (identical result, richer report).
-    if limited || snapshots.is_some() {
-        if !compact {
-            return Err("--no-compact cannot be combined with a budget or snapshots".into());
-        }
-        if analyze {
-            return Err("--analyze cannot be combined with a budget or snapshots".into());
-        }
-        let rcfg = ResilientConfig {
-            flow: config,
-            budget,
-            snapshots,
-        };
-        return match run_generation_resilient(&circuit, &rcfg).map_err(|e| e.to_string())? {
-            FlowOutcome::Complete(run) => {
-                if metrics {
-                    eprint!("{}", run.report.render());
-                }
-                eprintln!(
-                    "coverage {:.2}% ({}/{} faults); {} vectors",
-                    run.coverage_percent(),
-                    run.detected,
-                    run.total_faults,
-                    run.sequence.len(),
-                );
-                let sc = ScanCircuit::insert_chains(&circuit, chains);
-                let stats = program_stats(&sc, &run.sequence);
-                eprintln!(
-                    "{} scan cycles in {} operations, {} of them limited",
-                    stats.scan_cycles,
-                    stats.scan_ops.len(),
-                    stats.limited_ops,
-                );
-                write_out(args, &write_program(sc.circuit(), &run.sequence))?;
-                Ok(ExitCode::SUCCESS)
-            }
-            FlowOutcome::Partial {
-                reason,
-                snapshot,
-                path,
-            } => Ok(report_partial(
+    // `--no-compact` stops the same driver at its Generate boundary.
+    let outcome = if compact {
+        run_generation_resilient(&circuit, &rcfg)
+    } else {
+        run_generation_uncompacted(&circuit, &rcfg)
+    };
+    let run = match outcome.map_err(|e| e.to_string())? {
+        FlowOutcome::Complete(run) => run,
+        FlowOutcome::Partial {
+            reason,
+            snapshot,
+            path,
+        } => {
+            return Ok(report_partial(
                 reason,
                 snapshot.phase.tag(),
                 path.as_deref(),
-            )),
-        };
-    }
-
-    let flow = GenerationFlow::run(&circuit, &config).map_err(|e| e.to_string())?;
-    if metrics {
-        eprint!("{}", flow.report.render());
-    }
-    let sequence = if compact {
-        &flow.omitted.sequence
-    } else {
-        &flow.generated.sequence
+            ))
+        }
     };
-
+    if metrics {
+        eprint!("{}", run.report.render());
+    }
+    let generated = run
+        .generated
+        .as_ref()
+        .expect("a fresh run generates in this process");
     eprintln!(
         "coverage {:.2}% ({}/{} faults, {} via scan knowledge); {} vectors{}",
-        flow.generated.report.coverage_percent(),
-        flow.generated.report.detected_count(),
-        flow.faults.len(),
-        flow.generated.funct_detected,
-        sequence.len(),
+        generated.report.coverage_percent(),
+        generated.report.detected_count(),
+        run.total_faults,
+        generated.funct_detected,
+        run.sequence.len(),
         if compact {
-            format!(" (compacted from {})", flow.generated.sequence.len())
+            format!(" (compacted from {})", generated.sequence.len())
         } else {
             String::new()
         },
     );
-    if let Some(analysis) = &flow.analysis {
+    if let Some(analysis) = &run.analysis {
         eprintln!(
             "analysis: {} untestable pruned, {} targets deferred; fault efficiency {:.2}%",
             analysis.untestable.len(),
             analysis.deferred,
-            analysis.efficiency_percent(flow.generated.report.detected_count(), flow.faults.len()),
+            analysis.efficiency_percent(generated.report.detected_count(), run.total_faults),
         );
     }
-    let stats = program_stats(&flow.scan, sequence);
+    let stats = program_stats(&run.scan, &run.sequence);
     eprintln!(
         "{} scan cycles in {} operations, {} of them limited",
         stats.scan_cycles,
@@ -575,7 +541,7 @@ fn cmd_generate(args: &[String]) -> Result<ExitCode, String> {
         stats.limited_ops,
     );
 
-    write_out(args, &write_program(flow.scan.circuit(), sequence))?;
+    write_out(args, &write_program(run.scan.circuit(), &run.sequence))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -601,106 +567,64 @@ fn cmd_compact(args: &[String]) -> Result<ExitCode, String> {
             sc.circuit().inputs().len(),
         ));
     }
-    let faults = FaultList::collapsed(sc.circuit());
     let (obs, metrics) = obs_from_args(args)?;
-    let (budget, limited) = budget_from_args(args)?;
-    let (obs, collector) = obs.with_collector();
-    let mut stopped: Option<StopReason> = None;
-    let (before, final_seq) = {
-        let flow_span = obs.span(SpanKind::Flow, "compact-flow");
-        let before = {
-            let span = flow_span.child(SpanKind::Pass, "baseline-sim");
-            let mut sim = SeqFaultSim::new(sc.circuit(), &faults);
-            sim.set_obs(span.handle());
-            sim.extend(&sequence);
-            sim.report()
-        };
-        let final_seq = if limited {
-            // Budget-aware pipeline: a trip keeps the best result reached
-            // so far (the sequence as of the last completed stage).
-            let ctl = CancelToken::new(budget);
-            let restored = {
-                let span = flow_span.child(SpanKind::Pass, "restore");
-                restoration_resumable(sc.circuit(), &faults, &sequence, span.handle(), &ctl)
-            };
-            match restored {
-                Err(reason) => {
-                    stopped = Some(reason);
-                    sequence.clone()
-                }
-                Ok(restored) => {
-                    let targets: Vec<usize> =
-                        SeqFaultSim::run(sc.circuit(), &faults, &restored.sequence)
-                            .detected()
-                            .iter()
-                            .map(|id| id.index())
-                            .collect();
-                    let span = flow_span.child(SpanKind::Pass, "omit");
-                    let mut current = restored.sequence;
-                    let mut pass = 0;
-                    while pass < passes && !current.is_empty() {
-                        match omission_pass_resumable(
-                            sc.circuit(),
-                            &faults,
-                            &current,
-                            &targets,
-                            pass,
-                            CompactionEngine::Incremental,
-                            span.handle(),
-                            &ctl,
-                        ) {
-                            Ok((next, changed)) => {
-                                current = next;
-                                pass += 1;
-                                if !changed {
-                                    break;
-                                }
-                            }
-                            Err(reason) => {
-                                stopped = Some(reason);
-                                break;
-                            }
-                        }
-                    }
-                    current
-                }
-            }
-        } else {
-            restore_then_omit_observed(
-                sc.circuit(),
-                &faults,
-                &sequence,
-                passes,
-                CompactionEngine::Incremental,
-                flow_span.handle(),
-            )
-            .sequence
-        };
-        (before, final_seq)
+    let rcfg = ResilientConfig {
+        flow: FlowConfig {
+            omission_passes: passes,
+            // `compact` takes any circuit it can scan, lint-clean or not.
+            lint: false,
+            obs,
+            ..FlowConfig::default()
+        },
+        budget: budget_from_args(args)?,
+        snapshots: None,
     };
-    if metrics {
-        let mut report = FlowReport::from_collector(&collector);
-        if report.enabled {
-            report.detection_profile = before.detection_profile();
+    let outcome = run_compaction_resilient(&circuit, &sequence, &rcfg);
+    // (best sequence, faults the input detects, faults the best detects,
+    // target faults, stop reason)
+    let (final_seq, before, after, total, stopped) = match outcome.map_err(|e| e.to_string())? {
+        FlowOutcome::Complete(mut run) => {
+            if metrics {
+                if run.report.enabled {
+                    run.report.detection_profile =
+                        SeqFaultSim::run(run.scan.circuit(), &run.faults, &sequence)
+                            .detection_profile();
+                }
+                eprint!("{}", run.report.render());
+            }
+            let restored = run
+                .restored
+                .as_ref()
+                .expect("restoration ran in this process");
+            let before = restored.target_count;
+            (run.sequence, before, run.detected, run.total_faults, None)
         }
-        eprint!("{}", report.render());
-    }
-    let after = SeqFaultSim::run(sc.circuit(), &faults, &final_seq);
-    let gained = faults
-        .ids()
-        .filter(|&id| after.is_detected(id) && !before.is_detected(id))
-        .count();
+        // A budget stop keeps the best sequence reached so far: the one the
+        // stopped phase started from.
+        FlowOutcome::Partial {
+            reason, snapshot, ..
+        } => {
+            let best = match snapshot.phase {
+                FlowPhase::Generate(cursor) => cursor.sequence,
+                FlowPhase::Compact { sequence } => sequence,
+                FlowPhase::Omit(cursor) => cursor.sequence,
+            };
+            let faults = FaultList::collapsed(sc.circuit());
+            let before = SeqFaultSim::run(sc.circuit(), &faults, &sequence).detected_count();
+            let after = SeqFaultSim::run(sc.circuit(), &faults, &best).detected_count();
+            (best, before, after, faults.len(), Some(reason))
+        }
+    };
     let reduction = if sequence.is_empty() {
         0.0
     } else {
         100.0 * (1.0 - final_seq.len() as f64 / sequence.len() as f64)
     };
     eprintln!(
-        "{} -> {} vectors ({reduction:.1}% shorter); {}/{} faults detected, +{gained} gained",
+        "{} -> {} vectors ({reduction:.1}% shorter); {before}/{total} faults detected, +{} gained",
         sequence.len(),
         final_seq.len(),
-        before.detected_count(),
-        faults.len(),
+        after - before,
     );
 
     write_out(args, &write_program(sc.circuit(), &final_seq))?;
@@ -717,31 +641,27 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let snap_arg = args.first().ok_or("resume: missing snapshot argument")?;
     let snapshot = SnapshotStore::load(snap_arg).map_err(|e| format!("{snap_arg}: {e}"))?;
     let (obs, metrics) = obs_from_args(args)?;
-    let (budget, _) = budget_from_args(args)?;
-    let snapshots = flag_value(args, "--snapshots").map(SnapshotStore::new);
 
     // The flow configuration is re-derived from the snapshot's recorded
     // knobs on top of the defaults; anything non-default that is not
     // recorded (the generation engine) must be re-stated on the command
     // line. The digest check inside `resume_flow` refuses any drift.
-    let config = FlowConfig {
-        engine: engine_from_args(args)?,
-        scan_chains: snapshot.scan_chains,
-        max_faults: snapshot.max_faults,
-        omission_passes: snapshot.omission_passes,
-        seed: snapshot.seed,
-        compaction: if snapshot.reference_engine {
-            CompactionEngine::Reference
-        } else {
-            CompactionEngine::Incremental
-        },
-        obs,
-        ..FlowConfig::default()
-    };
     let rcfg = ResilientConfig {
-        flow: config,
-        budget,
-        snapshots,
+        flow: FlowConfig {
+            engine: engine_from_args(args)?,
+            scan_chains: snapshot.scan_chains,
+            max_faults: snapshot.max_faults,
+            omission_passes: snapshot.omission_passes,
+            seed: snapshot.seed,
+            analysis: AnalysisOptions {
+                prune_untestable: snapshot.prune_untestable,
+                dominance_targeting: snapshot.dominance_targeting,
+            },
+            obs,
+            ..FlowConfig::default()
+        },
+        budget: budget_from_args(args)?,
+        snapshots: flag_value(args, "--snapshots").map(SnapshotStore::new),
     };
     eprintln!(
         "resuming {} flow from phase `{}`",
@@ -760,14 +680,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
                 run.total_faults,
                 run.sequence.len(),
             );
-            let circuit = bench_format::parse_raw(snapshot.circuit_name(), &snapshot.circuit_bench)
-                .build()
-                .map_err(|e| e.to_string())?;
-            let sc = match snapshot.kind {
-                FlowKind::Generation => ScanCircuit::insert_chains(&circuit, snapshot.scan_chains),
-                FlowKind::Translation => ScanCircuit::insert(&circuit),
-            };
-            write_out(args, &write_program(sc.circuit(), &run.sequence))?;
+            write_out(args, &write_program(run.scan.circuit(), &run.sequence))?;
             Ok(ExitCode::SUCCESS)
         }
         FlowOutcome::Partial {

@@ -60,6 +60,61 @@ fn generate_then_compact_roundtrip() {
 }
 
 #[test]
+fn a_budget_that_does_not_trip_changes_nothing() {
+    // One driver behind every `generate`: an untripped deadline prints
+    // the same summary and program, `--analyze` included.
+    let run = |extra: &[&str]| {
+        limscan()
+            .args(["generate", "s27", "--analyze"])
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let plain = run(&[]);
+    let budgeted = run(&["--deadline", "1000"]);
+    assert!(plain.status.success() && budgeted.status.success());
+    assert_eq!(plain.stdout, budgeted.stdout);
+    assert_eq!(
+        String::from_utf8_lossy(&plain.stderr),
+        String::from_utf8_lossy(&budgeted.stderr)
+    );
+}
+
+#[test]
+fn compact_budget_stop_writes_the_best_sequence_so_far() {
+    let prog = temp_path("s27_uncompacted.prog");
+    let out = limscan()
+        .args([
+            "generate",
+            "s27",
+            "--no-compact",
+            "-o",
+            prog.to_str().unwrap(),
+        ])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    let best = temp_path("s27_budget_stop.prog");
+    let out = limscan()
+        .args(["compact", "s27", prog.to_str().unwrap()])
+        .args(["--max-vectors", "1", "-o", best.to_str().unwrap()])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(
+        stderr.contains("best result so far was written"),
+        "{stderr}"
+    );
+    // Restoration stopped before it finished, so the best sequence so far
+    // is the input itself.
+    assert_eq!(
+        std::fs::read_to_string(&best).expect("program written"),
+        std::fs::read_to_string(&prog).expect("input program")
+    );
+}
+
+#[test]
 fn generate_accepts_bench_files_and_engine_flags() {
     // Write a .bench file, then run the genetic engine on it uncompacted.
     let bench = temp_path("toy.bench");
@@ -113,6 +168,23 @@ fn errors_are_reported_with_nonzero_exit() {
         assert!(stderr.contains("error:"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
+
+    // A snapshot cannot carry the Generate stop, so a resumed
+    // `--no-compact` run would compact: the pair is refused up front.
+    let snaps = temp_path("nocompact_snaps");
+    let _ = std::fs::remove_dir_all(&snaps);
+    let out = limscan()
+        .args(["generate", "s27", "--no-compact", "--snapshots"])
+        .arg(&snaps)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--no-compact cannot be combined with --snapshots"),
+        "{stderr}"
+    );
+    assert!(!snaps.exists(), "nothing written before the refusal");
 
     let out = limscan().args(["frobnicate"]).output().expect("spawn");
     assert!(!out.status.success());

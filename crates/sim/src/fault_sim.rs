@@ -384,7 +384,18 @@ impl<'a> SeqFaultSim<'a> {
 
     /// One-shot simulation of a whole sequence from the all-X state.
     pub fn run(circuit: &Circuit, faults: &FaultList, seq: &TestSequence) -> DetectionReport {
+        Self::run_observed(circuit, faults, seq, &ObsHandle::noop())
+    }
+
+    /// [`run`](Self::run) under an observability scope.
+    pub fn run_observed(
+        circuit: &Circuit,
+        faults: &FaultList,
+        seq: &TestSequence,
+        obs: &ObsHandle,
+    ) -> DetectionReport {
         let mut sim = SeqFaultSim::new(circuit, faults);
+        sim.set_obs(obs);
         sim.extend(seq);
         sim.report()
     }

@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use limscan::benchmarks;
 use limscan::sim::set_sim_threads;
 use limscan::{
-    resume_flow, run_generation_resilient, run_translation_resilient, FlowConfig, FlowKind,
-    FlowOutcome, GenerationFlow, ResilientConfig, ResilientRun, RunBudget, SnapshotStore,
+    resume_flow, run_generation_resilient, run_translation_resilient, AnalysisOptions, FlowConfig,
+    FlowKind, FlowOutcome, GenerationFlow, ResilientConfig, ResilientRun, RunBudget, SnapshotStore,
     StopReason, TranslationFlow,
 };
 
@@ -148,6 +148,47 @@ fn s27_translation_resumes_bit_identically_from_every_boundary() {
             .into_complete();
     assert_eq!(full.sequence, classic.omitted.sequence);
     assert_resume_parity(FlowKind::Translation, &circuit, &flow);
+}
+
+#[test]
+fn analysis_runs_resume_bit_identically_from_every_boundary() {
+    // Untestability pruning changes the fault universe and dominance
+    // targeting the episode order; a resume must re-derive both.
+    let circuit = benchmarks::load("s298").expect("s298 profile");
+    let flow = FlowConfig {
+        analysis: AnalysisOptions::all(),
+        max_faults: 96,
+        ..FlowConfig::default()
+    };
+    let classic = GenerationFlow::run(&circuit, &flow).expect("classic flow");
+    assert!(classic.analysis.is_some(), "analysis ran");
+    assert_resume_parity(FlowKind::Generation, &circuit, &flow);
+    assert_resume_parity(FlowKind::Translation, &circuit, &flow);
+
+    // A vector budget stops generation between episodes; the cursor's
+    // fault index walks the two-tier target order, not the fault list.
+    let FlowOutcome::Partial {
+        snapshot, reason, ..
+    } = run_generation_resilient(
+        &circuit,
+        &resilient(
+            flow.clone(),
+            RunBudget {
+                max_vectors: Some(100),
+                ..RunBudget::default()
+            },
+        ),
+    )
+    .expect("flow validates")
+    else {
+        panic!("a 100-vector budget cannot finish s298");
+    };
+    assert_eq!(reason, StopReason::VectorBudget);
+    assert_eq!(snapshot.phase.tag(), "generate");
+    let resumed = resume_flow(&snapshot, &resilient(flow, RunBudget::unlimited()))
+        .expect("snapshot resumes")
+        .into_complete();
+    assert_eq!(resumed.sequence, classic.omitted.sequence);
 }
 
 #[test]
