@@ -26,7 +26,7 @@ fn bench_podem(c: &mut Criterion) {
                         .iter()
                         .filter(|(_, f)| podem(cs, &scoap, *f, &PodemOptions::default()).is_some())
                         .count()
-                })
+                });
             },
         );
     }
@@ -51,7 +51,7 @@ fn bench_sequential(c: &mut Criterion) {
                         .run()
                         .sequence
                         .len()
-                })
+                });
             });
         }
     }
@@ -71,7 +71,7 @@ fn bench_engines(c: &mut Criterion) {
                 .run()
                 .report
                 .detected_count()
-        })
+        });
     });
     group.bench_function("genetic_s27", |b| {
         b.iter(|| {
@@ -79,7 +79,7 @@ fn bench_engines(c: &mut Criterion) {
                 .run()
                 .1
                 .detected_count()
-        })
+        });
     });
     group.finish();
 }

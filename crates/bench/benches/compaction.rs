@@ -32,7 +32,7 @@ fn bench_restoration_and_omission(c: &mut Criterion) {
         );
         let restored = restoration(cs, &faults, &generated).sequence;
         group.bench_with_input(BenchmarkId::new("omission", name), &restored, |b, seq| {
-            b.iter(|| omission(cs, &faults, seq, 2).sequence.len())
+            b.iter(|| omission(cs, &faults, seq, 2).sequence.len());
         });
         group.bench_with_input(
             BenchmarkId::new("segment_prune", name),
@@ -57,7 +57,7 @@ fn bench_complete_vs_limited(c: &mut Criterion) {
             scan_test_set(&circuit, &base_faults, &set)
                 .set
                 .application_cycles()
-        })
+        });
     });
 
     let scan_faults = FaultList::collapsed(sc.circuit());
@@ -70,7 +70,7 @@ fn bench_complete_vs_limited(c: &mut Criterion) {
             omission(sc.circuit(), &scan_faults, &restored, 1)
                 .sequence
                 .len()
-        })
+        });
     });
     group.finish();
 }

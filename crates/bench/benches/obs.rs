@@ -1,18 +1,13 @@
 //! Trace-overhead A/B on the fault-simulation hot path.
 //!
-//! Three arms over the same s5378-class workload:
+//! Two arms over the same s5378-class workload:
 //!
-//! * `baseline` — no `set_obs` call at all (the seed behaviour);
-//! * `noop_handle` — instrumentation reached with a no-op handle attached,
-//!   which is the cost every un-traced run pays when the `trace` feature
-//!   is compiled in (one branch per emission site);
+//! * `unattached` — the simulator's default handle with no sink, the cost
+//!   every un-traced run pays (one branch per emission site);
 //! * `collector` — a live in-memory collector, the full emission cost.
 //!
-//! Compile-time A/B: run this bench once as `cargo bench -p limscan-bench
-//! --bench obs` (trace compiled out — `noop_handle` and `baseline` must be
-//! indistinguishable) and once with `--features trace` (the `noop_handle`
-//! regression budget is <1% over `baseline`). `scripts/obs_overhead.sh`
-//! automates the same comparison on the `faultsim_bench` binary.
+//! `scripts/obs_overhead.sh` gates the same comparison on the
+//! `faultsim_bench` binary.
 
 use std::sync::Arc;
 
@@ -43,25 +38,13 @@ fn bench_obs_overhead(c: &mut Criterion) {
         let seq = random_sequence(circuit.inputs().len(), vectors, 17);
         group.throughput(Throughput::Elements((faults.len() * seq.len()) as u64));
         group.bench_with_input(
-            BenchmarkId::new("baseline", name),
+            BenchmarkId::new("unattached", name),
             &(&circuit, &faults, &seq),
             |b, (circuit, faults, seq)| {
                 b.iter(|| {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.extend(seq)
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("noop_handle", name),
-            &(&circuit, &faults, &seq),
-            |b, (circuit, faults, seq)| {
-                let obs = ObsHandle::noop();
-                b.iter(|| {
-                    let mut sim = SeqFaultSim::new(circuit, faults);
-                    sim.set_obs(&obs);
-                    sim.extend(seq)
-                })
+                });
             },
         );
         group.bench_with_input(
@@ -74,7 +57,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                     let mut sim = SeqFaultSim::new(circuit, faults);
                     sim.set_obs(&obs);
                     sim.extend(seq)
-                })
+                });
             },
         );
     }

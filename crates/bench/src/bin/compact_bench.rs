@@ -108,8 +108,7 @@ fn main() {
         assert_eq!(r_ref.extra_detected, r_inc.extra_detected);
 
         // One extra observed run of each incremental engine feeds the
-        // `metrics` block. Untimed, and inert when `trace` is compiled out
-        // (every counter reads back 0).
+        // `metrics` block. Untimed.
         let collector = {
             let collector = MetricsCollector::default();
             let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
@@ -151,7 +150,7 @@ fn main() {
                 "        \"final_len\": {},\n",
                 "        \"extra_detected\": {}\n",
                 "      }},\n",
-                "      \"metrics\": {{\"trace_enabled\": {}, \"trials_attempted\": {}, ",
+                "      \"metrics\": {{\"trials_attempted\": {}, ",
                 "\"trials_committed\": {}, \"trials_early_exited\": {}, ",
                 "\"checkpoint_hits\": {}, \"restoration_episodes\": {}, ",
                 "\"restoration_probes\": {}}}\n",
@@ -171,7 +170,6 @@ fn main() {
             t_rref / t_rinc,
             r_inc.sequence.len(),
             r_inc.extra_detected,
-            !collector.is_empty(),
             collector.counter(Metric::TrialsAttempted),
             collector.counter(Metric::TrialsCommitted),
             collector.counter(Metric::TrialsEarlyExited),

@@ -9,8 +9,13 @@
 //! (`SeqFaultSim::extend_reference`), the flat kernel pinned to one
 //! thread, and the flat kernel with the default thread count — and
 //! records best-of-N wall-clock, throughput in vectors/second, and the
-//! speedups over the reference. Detection counts are asserted equal across
-//! engines before anything is written.
+//! speedups over the reference. A fourth point, `event_1thread_observed`,
+//! times the single-thread kernel with a live [`MetricsCollector`]
+//! attached, its runs alternating with those of `event_1thread`; its
+//! counters fill the `metrics` block, and `scripts/obs_overhead.sh` gates
+//! its cost against `event_1thread`.
+//! Detection counts are asserted equal across engines before anything is
+//! written.
 //!
 //! `--smoke` is the CI regression gate: it sweeps **every** embedded
 //! benchmark (fault lists sampled on the largest circuits to bound
@@ -20,6 +25,7 @@
 //!
 //! Output defaults to `BENCH_faultsim.json` in the current directory.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,15 +57,29 @@ fn best_of(
     faults: &FaultList,
     f: impl Fn(&mut SeqFaultSim) -> usize,
 ) -> (f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut detected = 0;
-    for _ in 0..RUNS {
-        let mut sim = SeqFaultSim::new(circuit, faults);
-        let t = Instant::now();
-        detected = f(&mut sim);
-        best = best.min(t.elapsed().as_secs_f64());
+    let [result] = best_of_each(circuit, faults, [&f]);
+    result
+}
+
+/// [`best_of`] for several arms at once. The arms take turns run by run,
+/// in an order reversed every round, so drift in the machine's load and
+/// the position within a round hit every arm alike.
+fn best_of_each<const N: usize>(
+    circuit: &Circuit,
+    faults: &FaultList,
+    arms: [&dyn Fn(&mut SeqFaultSim) -> usize; N],
+) -> [(f64, usize); N] {
+    let mut best = [(f64::INFINITY, 0); N];
+    for round in 0..RUNS {
+        for k in 0..N {
+            let arm = if round % 2 == 0 { k } else { N - 1 - k };
+            let mut sim = SeqFaultSim::new(circuit, faults);
+            let t = Instant::now();
+            best[arm].1 = arms[arm](&mut sim);
+            best[arm].0 = best[arm].0.min(t.elapsed().as_secs_f64());
+        }
     }
-    (best, detected)
+    best
 }
 
 /// CI gate: the kernel must beat the reference on every embedded circuit
@@ -142,36 +162,36 @@ fn main() {
         let seq = random_sequence(circuit.inputs().len(), vectors, 7);
 
         let (t_ref, d_ref) = best_of(&circuit, &faults, |sim| sim.extend_reference(&seq));
+        // Each observed run gets a fresh collector; the last one feeds the
+        // `metrics` block, so its counters describe exactly one extension.
+        let collector = RefCell::new(MetricsCollector::default());
+        let observed = |sim: &mut SeqFaultSim| {
+            let fresh = MetricsCollector::default();
+            sim.set_obs(&ObsHandle::from_sink(Arc::new(fresh.clone())));
+            *collector.borrow_mut() = fresh;
+            sim.extend(&seq)
+        };
         set_sim_threads(Some(1));
-        let (t_ev1, d_ev1) = best_of(&circuit, &faults, |sim| sim.extend(&seq));
+        let [(t_ev1, d_ev1), (t_obs, d_obs)] =
+            best_of_each(&circuit, &faults, [&|sim| sim.extend(&seq), &observed]);
         set_sim_threads(None);
+        let collector = collector.into_inner();
         let (t_mt, d_mt) = best_of(&circuit, &faults, |sim| sim.extend(&seq));
 
         assert_eq!(d_ref, d_ev1, "{name}: single-thread engine diverged");
+        assert_eq!(d_ref, d_obs, "{name}: observed engine diverged");
         assert_eq!(d_ref, d_mt, "{name}: multi-thread engine diverged");
-
-        // One extra single-thread extension with a live collector feeds the
-        // `metrics` block. Untimed, and inert when `trace` is compiled out
-        // (every counter reads back 0).
-        let collector = {
-            let collector = MetricsCollector::default();
-            let obs = ObsHandle::from_sink(Arc::new(collector.clone()));
-            set_sim_threads(Some(1));
-            let mut sim = SeqFaultSim::new(&circuit, &faults);
-            sim.set_obs(&obs);
-            sim.extend(&seq);
-            set_sim_threads(None);
-            collector
-        };
 
         let vps = |t: f64| vectors as f64 / t;
         println!(
             "{name}: faults={} vectors={vectors} ref={:.4}s event/1t={:.4}s ({:.2}x) \
-             event/auto={:.4}s ({:.2}x)",
+             observed/1t={:.4}s ({:+.2}%) event/auto={:.4}s ({:.2}x)",
             faults.len(),
             t_ref,
             t_ev1,
             t_ref / t_ev1,
+            t_obs,
+            100.0 * (t_obs - t_ev1) / t_ev1,
             t_mt,
             t_ref / t_mt
         );
@@ -185,8 +205,9 @@ fn main() {
                 "      \"detected\": {},\n",
                 "      \"reference\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}}},\n",
                 "      \"event_1thread\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}, \"speedup\": {:.3}}},\n",
+                "      \"event_1thread_observed\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}}},\n",
                 "      \"event_auto\": {{\"seconds\": {:.6}, \"vectors_per_sec\": {:.1}, \"speedup\": {:.3}}},\n",
-                "      \"metrics\": {{\"trace_enabled\": {}, \"vectors_simulated\": {}, ",
+                "      \"metrics\": {{\"vectors_simulated\": {}, ",
                 "\"batches_simulated\": {}, \"faults_detected\": {}, \"scratch_bytes_peak\": {}}}\n",
                 "    }}"
             ),
@@ -200,10 +221,11 @@ fn main() {
             t_ev1,
             vps(t_ev1),
             t_ref / t_ev1,
+            t_obs,
+            vps(t_obs),
             t_mt,
             vps(t_mt),
             t_ref / t_mt,
-            !collector.is_empty(),
             collector.counter(Metric::VectorsSimulated),
             collector.counter(Metric::BatchesSimulated),
             collector.counter(Metric::FaultsDetected),

@@ -354,8 +354,7 @@ pub struct GenerationFlow {
     /// After vector omission applied to `T_restor` (`T_omit`).
     pub omitted: Compacted,
     /// Phase timings, metric totals, and the detection-profile curve of
-    /// the generated sequence. Empty (with `enabled = false`) unless the
-    /// `trace` feature is on.
+    /// the generated sequence.
     pub report: FlowReport,
 }
 
@@ -441,8 +440,7 @@ pub struct TranslationFlow {
     /// After vector omission.
     pub omitted: Compacted,
     /// Phase timings, metric totals, and the detection-profile curve of
-    /// the translated sequence before compaction. Empty (with
-    /// `enabled = false`) unless the `trace` feature is on.
+    /// the translated sequence before compaction.
     pub report: FlowReport,
 }
 

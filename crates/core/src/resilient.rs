@@ -90,7 +90,7 @@ pub struct ResilientRun {
     /// Size of the flow's target fault list.
     pub total_faults: usize,
     /// Phase timings and metric totals for *this process's* share of the
-    /// run. Empty unless the `trace` feature is on.
+    /// run.
     pub report: FlowReport,
     /// The scan circuit the run worked on.
     pub scan: ScanCircuit,
@@ -548,16 +548,14 @@ fn attach(
     match outcome {
         FlowOutcome::Complete(mut run) => {
             run.report = FlowReport::from_collector(collector);
-            if run.report.enabled {
-                run.report.detection_profile = match (&run.generated, &run.translated) {
-                    (Some(generated), _) => generated.report.detection_profile(),
-                    (None, Some(translated)) => {
-                        SeqFaultSim::run(run.scan.circuit(), &run.faults, translated)
-                            .detection_profile()
-                    }
-                    (None, None) => Vec::new(),
-                };
-            }
+            run.report.detection_profile = match (&run.generated, &run.translated) {
+                (Some(generated), _) => generated.report.detection_profile(),
+                (None, Some(translated)) => {
+                    SeqFaultSim::run(run.scan.circuit(), &run.faults, translated)
+                        .detection_profile()
+                }
+                (None, None) => Vec::new(),
+            };
             FlowOutcome::Complete(run)
         }
         partial => partial,

@@ -485,8 +485,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("big.bench");
         std::fs::write(&path, "INPUT(a)\nOUTPUT(a)\n").unwrap();
-        let mut l = ParseLimits::default();
-        l.max_source_bytes = 4;
+        let l = ParseLimits {
+            max_source_bytes: 4,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
             read_file_limited(&path, &l),
             Err(NetlistError::LimitExceeded {

@@ -1334,8 +1334,10 @@ zz = OR(n3, n4, n5, n6, n7, n8, z)\n";
         src.push_str(
             ".names x y\n1 1\n.end\n.model inv\n.inputs a\n.outputs y\n.names a y\n0 1\n.end\n",
         );
-        let mut l = ParseLimits::default();
-        l.max_subckt_instances = 4;
+        let l = ParseLimits {
+            max_subckt_instances: 4,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
             parse_limited("t", &src, &l),
             Err(NetlistError::LimitExceeded {
@@ -1351,8 +1353,10 @@ zz = OR(n3, n4, n5, n6, n7, n8, z)\n";
     fn cover_row_and_line_limits_truncate() {
         use crate::limits::{ParseLimit, ParseLimits};
         let src = ".model m\n.inputs a b\n.outputs y\n.names a b y\n10 1\n01 1\n11 1\n.end\n";
-        let mut l = ParseLimits::default();
-        l.max_cover_rows = 2;
+        let l = ParseLimits {
+            max_cover_rows: 2,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
             parse_limited("m", src, &l),
             Err(NetlistError::LimitExceeded {
@@ -1361,8 +1365,10 @@ zz = OR(n3, n4, n5, n6, n7, n8, z)\n";
                 ..
             })
         ));
-        let mut l = ParseLimits::default();
-        l.max_line_bytes = 8;
+        let l = ParseLimits {
+            max_line_bytes: 8,
+            ..ParseLimits::default()
+        };
         assert!(matches!(
             parse_limited("m", src, &l),
             Err(NetlistError::LimitExceeded {

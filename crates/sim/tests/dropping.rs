@@ -97,7 +97,7 @@ proptest! {
         threads in 1usize..=8,
     ) {
         let name = ["s27", "s298", "s344", "s420", "s526"][circuit_idx];
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         set_sim_threads(Some(threads));
         let on = run_scenario(name, seed, len1, len2, true);
         let off = run_scenario(name, seed, len1, len2, false);
@@ -147,7 +147,9 @@ fn selected_test_program_is_identical_with_and_without_dropping() {
         kept
     };
 
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     set_sim_threads(Some(1));
     assert_eq!(build_program(true), build_program(false));
 }
@@ -157,7 +159,9 @@ fn selected_test_program_is_identical_with_and_without_dropping() {
 /// a reset — dropping state must not outlive the run it belongs to.
 #[test]
 fn dropped_faults_are_restored_by_reset() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     set_sim_threads(Some(1));
     let c = benchmarks::load("s27").expect("known benchmark");
     let faults = FaultList::collapsed(&c);
@@ -175,7 +179,7 @@ fn dropped_faults_are_restored_by_reset() {
 
     assert_eq!(first, second);
     assert!(
-        first.iter().any(|d| d.is_some()),
+        first.iter().any(std::option::Option::is_some),
         "scenario should detect at least one fault"
     );
 }

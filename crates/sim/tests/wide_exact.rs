@@ -3,9 +3,9 @@
 //! Three engines must agree fault-for-fault and time-unit-for-time-unit on
 //! every embedded benchmark:
 //!
-//! * `extend`           — the production wide kernel (`LANE_WORDS` words);
-//! * `extend_narrow`    — the same kernel compiled at one word per lane
-//!                        (the old 64-lane geometry);
+//! * `extend` — the production wide kernel (`LANE_WORDS` words);
+//! * `extend_narrow` — the same kernel compiled at one word per lane (the
+//!   old 64-lane geometry);
 //! * `extend_reference` — the dense scalar-per-word oracle.
 //!
 //! Agreement covers detection verdicts, first-detection times, the
@@ -126,7 +126,7 @@ fn engines_agree_with_multiple_threads() {
     let faults = FaultList::collapsed(&c);
     set_sim_threads(Some(4));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cross_check("s1423@4t", &faults, 77, 40)
+        cross_check("s1423@4t", &faults, 77, 40);
     }));
     set_sim_threads(Some(1));
     if let Err(p) = result {
